@@ -114,11 +114,13 @@ def _run_quick_bench_impl(
         else:
             capture_ctx = contextlib.nullcontext()
         bench_start = time.monotonic()
+        error = None
         try:
             with capture_ctx:
                 outcome = solver.synthesize(problem)
-        except Exception:
-            outcome = SynthesisOutcome(None, SynthesisStats(), timed_out=True)
+        except Exception as exc:
+            outcome = SynthesisOutcome(None, SynthesisStats())
+            error = f"{type(exc).__name__}: {exc}"
         wall = time.monotonic() - bench_start
         stats = outcome.stats
         totals.merge(stats)
@@ -130,6 +132,7 @@ def _run_quick_bench_impl(
                 "solver": solver_name,
                 "solved": outcome.solved,
                 "timed_out": outcome.timed_out,
+                "error": error,
                 "wall_seconds": round(wall, 4),
                 "smt_checks": stats.smt_checks,
                 "smt_rounds": stats.smt_rounds,

@@ -50,6 +50,9 @@ class RunResult:
     solution_height: Optional[int] = None
     timed_out: bool = False
     deduction_solved: bool = False
+    #: ``"<ExceptionType>: <message>"`` when the solver raised instead of
+    #: answering; such a run is neither solved nor timed out.
+    error: Optional[str] = None
 
     def to_json(self) -> Dict:
         return asdict(self)
@@ -153,10 +156,12 @@ def run_benchmark(
     problem = benchmark.problem()
     solver = make_solver(solver_name, timeout)
     start = time.monotonic()
+    error = None
     try:
         outcome = solver.synthesize(problem)
-    except Exception:
-        outcome = SynthesisOutcome(None, SynthesisStats(), timed_out=True)
+    except Exception as exc:
+        outcome = SynthesisOutcome(None, SynthesisStats())
+        error = f"{type(exc).__name__}: {exc}"
     elapsed = time.monotonic() - start
     result = RunResult(
         benchmark=benchmark.name,
@@ -164,8 +169,9 @@ def run_benchmark(
         solver=solver_name,
         solved=outcome.solved,
         time_seconds=round(elapsed, 4),
-        timed_out=outcome.timed_out or elapsed > timeout,
+        timed_out=error is None and (outcome.timed_out or elapsed > timeout),
         deduction_solved=outcome.stats.deduction_solved,
+        error=error,
     )
     if outcome.solution is not None:
         result.solution_size = outcome.solution.size
@@ -313,6 +319,9 @@ def _job_to_run_result(
 ) -> RunResult:
     """Translate a service :class:`JobResult` into the campaign's record."""
     solved = job_result.status == "solved"
+    error = None
+    if job_result.status == "crashed":
+        error = job_result.error or "crashed"
     return RunResult(
         benchmark=benchmark.name,
         track=benchmark.track,
@@ -321,7 +330,8 @@ def _job_to_run_result(
         time_seconds=round(job_result.wall_time, 4),
         solution_size=job_result.solution_size,
         solution_height=job_result.solution_height,
-        timed_out=job_result.status in ("timeout", "crashed")
-        or job_result.wall_time > timeout,
+        timed_out=error is None
+        and (job_result.status == "timeout" or job_result.wall_time > timeout),
         deduction_solved=bool(job_result.stats.get("deduction_solved", False)),
+        error=error,
     )

@@ -26,7 +26,7 @@ from repro.lang.sorts import BOOL
 from repro.lang.traversal import free_vars
 from repro.smt import capture as _capture
 from repro.smt import memo as _memo
-from repro.smt.branch_bound import BudgetExceeded, check_lia
+from repro.smt.branch_bound import BudgetExceeded, LiaTableau, check_lia
 from repro.smt.implicant import extract_implicant
 from repro.smt.simplex import pivots_total
 from repro.smt.tseitin import CnfEncoder
@@ -442,31 +442,41 @@ class SmtSolver:
                 expr = atom.to_linexpr() if positive else atom.negate().to_linexpr()
                 lit = var if positive else -var
                 constraints.append((expr, lit))
-            try:
-                feasible, payload = check_lia(
-                    constraints, self.lia_node_budget, self.deadline
-                )
-            except BudgetExceeded as exc:
-                raise SolverBudgetExceeded(str(exc)) from exc
+            feasible, payload = self._theory_check(constraints)
             if feasible:
                 model = self._build_model(
                     payload, encoder, sat_model, prepared_assumptions
                 )
                 return Result(Status.SAT, model, rounds)
             self.stats.theory_conflicts += 1
-            core = payload
-            if not core:
+            if not payload:
                 return Result(Status.UNSAT, None, rounds)
-            core = self._minimize_core(constraints, core)
-            encoder.sat.add_clause([-lit for lit in core])
+            encoder.sat.add_clause([-lit for lit in payload])
             self.stats.lemmas += 1
 
-    def _minimize_core(self, constraints, core):
+    def _theory_check(self, constraints):
+        """One round's integer check: a model, or a minimised core.
+
+        The check and the core minimisation share one tableau, which dies
+        with the round instead of staying alive through the next SAT solve.
+        """
+        tableau = LiaTableau(constraints)
+        try:
+            feasible, payload = check_lia(
+                constraints, self.lia_node_budget, self.deadline, tableau
+            )
+        except BudgetExceeded as exc:
+            raise SolverBudgetExceeded(str(exc)) from exc
+        if feasible or not payload:
+            return feasible, payload
+        return False, self._minimize_core(constraints, payload, tableau)
+
+    def _minimize_core(self, constraints, core, tableau):
         """Deletion-based core shrinking: smaller cores mean stronger lemmas.
 
         Each candidate deletion costs one LIA feasibility check on a small
-        conjunction, which is far cheaper than the extra DPLL(T) rounds a fat
-        lemma causes.
+        conjunction, run on the round's ``tableau``, which is far cheaper
+        than the extra DPLL(T) rounds a fat lemma causes.
         """
         if len(core) <= 4 or len(core) > 24:
             return core
@@ -481,7 +491,7 @@ class SmtSolver:
             checks_left -= 1
             try:
                 feasible, payload = check_lia(
-                    [(by_tag[t], t) for t in trial], 60, self.deadline
+                    [(by_tag[t], t) for t in trial], 60, self.deadline, tableau
                 )
             except BudgetExceeded:
                 # Node budget or deadline hit: stop shrinking, keep what we

@@ -153,7 +153,16 @@ class Grammar:
         The function becomes available as a production of every nonterminal
         whose sort matches its return sort (the Subterm rule's "add aux to the
         grammar" step).
+
+        Raises:
+            ValueError: if the function's body calls the function itself.
         """
+        from repro.lang.traversal import contains_app
+
+        if contains_app(func.body, func.name):
+            raise ValueError(
+                f"interpreted function {func.name!r} calls itself in its body"
+            )
         grammar = Grammar(
             dict(self.nonterminals),
             self.start,

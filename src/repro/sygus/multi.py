@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_const
 from repro.lang.traversal import contains_app, substitute_apps
+from repro.sygus.grammar import expand_interpreted
 from repro.sygus.problem import Solution, SygusProblem, SynthFun
 
 
@@ -48,17 +49,7 @@ class MultiSygusProblem:
         return result
 
     def inline_interpreted(self, fun: SynthFun, body: Term) -> Term:
-        result = body
-        for _ in range(64):
-            changed = False
-            for name, func in fun.grammar.interpreted.items():
-                expanded = substitute_apps(result, name, func.params, func.body)
-                if expanded is not result:
-                    result = expanded
-                    changed = True
-            if not changed:
-                return result
-        raise ValueError("interpreted expansion did not converge")
+        return expand_interpreted(body, fun.grammar.interpreted)
 
     def verify(
         self, bodies: Mapping[str, Term], deadline: Optional[float] = None

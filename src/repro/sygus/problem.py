@@ -16,7 +16,12 @@ from repro.lang.traversal import (
     free_vars,
     substitute_apps,
 )
-from repro.sygus.grammar import Grammar, InterpretedFunction, clia_grammar
+from repro.sygus.grammar import (
+    Grammar,
+    InterpretedFunction,
+    clia_grammar,
+    expand_interpreted,
+)
 
 
 @dataclass(frozen=True)
@@ -88,17 +93,7 @@ class SygusProblem:
 
     def inline_interpreted(self, body: Term) -> Term:
         """Expand the grammar's interpreted functions inside ``body``."""
-        result = body
-        for _ in range(64):
-            changed = False
-            for name, func in self.synth_fun.grammar.interpreted.items():
-                expanded = substitute_apps(result, name, func.params, func.body)
-                if expanded is not result:
-                    result = expanded
-                    changed = True
-            if not changed:
-                return result
-        raise ValueError("interpreted function expansion did not converge")
+        return expand_interpreted(body, self.synth_fun.grammar.interpreted)
 
     def _compiled_spec(self):
         """The spec compiled with the synth-fun open (cached per instance)."""

@@ -33,6 +33,7 @@ from repro.lang.traversal import (
     app_occurrences,
     contains_app,
     free_vars,
+    fresh_name,
     subexpressions,
     substitute,
     substitute_apps,
@@ -139,7 +140,9 @@ def subterm_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]:
         if len(aux_params) > len(problem.synth_fun.params):
             _reject(problem, "subterm", "aux-params-exceed")
             continue
-        aux_name = f"aux{index}!{problem.fun_name}"
+        # A Type-B problem keeps its parent's function name and grammar, so
+        # splitting it again must not reuse an auxiliary's name.
+        aux_name = fresh_name(f"aux{index}!{problem.fun_name}", grammar.interpreted)
         aux_grammar = Grammar(
             dict(grammar.nonterminals),
             grammar.start,

@@ -193,6 +193,11 @@ class FixedHeightSession:
             result = self._run_loop(examples, deadline)
             session_span.set(rounds=self.rounds, exhausted=self.exhausted,
                              solved=result is not None)
+            if self.exhausted:
+                # An exhausted session only ever answers None again, but the
+                # cooperative loop keeps it parked: drop the solver's clause
+                # database and atom tables now rather than at the end.
+                self._solver = None
             return result
 
     def _run_loop(

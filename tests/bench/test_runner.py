@@ -46,6 +46,25 @@ class TestRunBenchmark:
         result = RunResult("b", "CLIA", "s", True, 1.5, 7, 3, False, True)
         assert RunResult.from_json(result.to_json()) == result
 
+    def test_exception_recorded_as_error(self, monkeypatch):
+        import repro.bench.runner as runner
+
+        class Raising:
+            def synthesize(self, problem):
+                raise ValueError("boom")
+
+        monkeypatch.setattr(runner, "make_solver", lambda name, timeout: Raising())
+        result = run_benchmark(find_benchmark("linear-comb"), "dryadsynth", 20)
+        assert not result.solved
+        assert not result.timed_out
+        assert result.error == "ValueError: boom"
+        assert RunResult.from_json(result.to_json()) == result
+
+    def test_cached_records_without_error_field_load(self):
+        data = RunResult("b", "CLIA", "s", True, 1.5).to_json()
+        del data["error"]
+        assert RunResult.from_json(data).error is None
+
 
 class TestResultsCache:
     def test_put_get_save_load(self, tmp_path):

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.branch_bound import check_lia
+from repro.smt.branch_bound import BudgetExceeded, LiaTableau, check_lia
 from repro.smt.linear import LinExpr
 
 
@@ -123,6 +123,55 @@ def test_check_lia_agrees_with_brute_force(raw_constraints):
         assert not _brute_force(core_constraints, ["x", "y"])
 
 
+_pool_expr = st.builds(
+    LinExpr,
+    st.dictionaries(
+        st.sampled_from(["x", "y"]), st.integers(-4, 4), min_size=1, max_size=2
+    ),
+    st.integers(-8, 8),
+)
+#: A branch as a pair of pool constraints: ``v <= k`` and ``v >= k + 1``.
+_branch = st.tuples(st.sampled_from(["x", "y"]), st.integers(-6, 6))
+
+
+@given(
+    st.lists(_pool_expr, min_size=2, max_size=6),
+    st.lists(_branch, max_size=2),
+    st.lists(st.lists(st.booleans(), min_size=10, max_size=10), min_size=1, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_tableau_agrees_with_brute_force(pool, branches, picks):
+    # One tableau drives a sequence of checks on subsets of its pool, the
+    # way core minimisation's deletion trials do; the pool's branch pairs
+    # push a bound (and its opposite) on top of other constraints.
+    constraints = [(expr, f"c{i}") for i, expr in enumerate(pool)]
+    for j, (name, k) in enumerate(branches):
+        constraints.append((LinExpr({name: -1}, k), f"b{j}-low"))  # v <= k
+        constraints.append((LinExpr({name: 1}, -k - 1), f"b{j}-high"))  # v >= k+1
+    tableau = LiaTableau(constraints)
+    by_tag = {tag: expr for expr, tag in constraints}
+    for keep in picks:
+        subset = [c for c, chosen in zip(constraints, keep) if chosen]
+        try:
+            feasible, payload = check_lia(subset, 500, None, tableau)
+        except BudgetExceeded:
+            continue  # the trail must still be clean for the next trial
+        expected = _brute_force(subset, ["x", "y"])
+        if feasible:
+            env = {name: payload.get(name, 0) for name in ("x", "y")}
+            assert _holds(subset, env), "model violates its subset"
+        else:
+            assert not expected, "shared tableau said unsat, brute force found a model"
+            core = [(by_tag[tag], tag) for tag in payload]
+            assert set(payload) <= {tag for _, tag in subset}
+            assert not _brute_force(core, ["x", "y"]), "core is satisfiable"
+        # A fresh tableau gives the same status (when it decides in budget).
+        try:
+            assert check_lia(subset, 500)[0] == feasible
+        except BudgetExceeded:
+            pass
+
+
 class TestBudgets:
     def test_node_budget_exhaustion_raises(self):
         import pytest
@@ -147,6 +196,24 @@ class TestBudgets:
         constraints = [(LinExpr({"x": 3}, -1), "lo"), (LinExpr({"x": -3}, 2), "hi")]
         with pytest.raises(BudgetExceeded):
             check(constraints, max_nodes=100000, deadline=time.monotonic() - 1)
+
+    def test_ray_dive_stops_at_the_depth_limit(self):
+        # Rationally unbounded along a ray; branching low first walks it one
+        # integer step per level.  The search must give up at the depth
+        # limit (bounded memory) long before the node budget runs out.
+        import pytest
+
+        from repro.smt.branch_bound import _MAX_DEPTH
+
+        constraints = [
+            (LinExpr({"y1": -1, "y2": 1}, -1), "a"),  # y2 >= y1 + 1
+            (LinExpr({"y2": -1, "y3": 1}, -1), "b"),  # y3 >= y2 + 1
+            (LinExpr({"k": -1, "y1": 1}, -1), "c"),  # y1 >= k + 1
+            (LinExpr({"k": 2, "y1": -1, "y2": -1, "y3": -2}, 0), "d"),
+            (LinExpr({"y1": -2, "y2": 2, "y3": 1}, -1), "e"),
+        ]
+        with pytest.raises(BudgetExceeded, match="depth"):
+            check_lia(constraints, max_nodes=50 * _MAX_DEPTH)
 
     def test_duplicate_linear_forms_share_slacks(self):
         # The same multi-variable form used twice must not blow up the

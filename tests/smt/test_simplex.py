@@ -118,3 +118,40 @@ class TestChains:
             simplex.assert_bound(Bound(s, True, _fraction(1), f"edge{a}{b}"))
         with pytest.raises(Conflict):
             simplex.check()
+
+
+class TestBoundTrail:
+    def test_backtrack_restores_earlier_bounds(self):
+        # x + y >= 10 with x <= 4: feasible; adding y <= 4 above a mark
+        # conflicts, and backtracking to the mark makes it feasible again.
+        simplex = Simplex()
+        x, y = simplex.new_var(), simplex.new_var()
+        s = simplex.new_slack({x: 1, y: 1})
+        simplex.assert_bound(Bound(s, True, 10, "sum"))
+        simplex.assert_bound(Bound(x, False, 4, "xcap"))
+        assert simplex.check()
+        mark = simplex.mark()
+        simplex.assert_bound(Bound(y, False, 4, "ycap"))
+        with pytest.raises(Conflict) as info:
+            simplex.check()
+        assert "ycap" in {bound.tag for bound in info.value.bounds}
+        simplex.backtrack(mark)
+        assert simplex.check()
+        assert simplex.value(x) + simplex.value(y) >= 10
+        assert simplex.value(x) <= 4
+
+    def test_backtrack_restores_a_tightened_bound(self):
+        simplex = Simplex()
+        x = simplex.new_var()
+        simplex.assert_bound(Bound(x, True, 1, "weak"))
+        mark = simplex.mark()
+        simplex.assert_bound(Bound(x, True, 5, "strong"))
+        simplex.assert_bound(Bound(x, False, 6, "cap"))
+        simplex.backtrack(mark)
+        # The strong bound is gone, the weak one is back: x <= 2 now fits.
+        simplex.assert_bound(Bound(x, False, 2, "low-cap"))
+        assert simplex.check()
+        assert 1 <= simplex.value(x) <= 2
+        with pytest.raises(Conflict) as info:
+            simplex.assert_bound(Bound(x, False, 0, "too-low"))
+        assert {bound.tag for bound in info.value.bounds} == {"weak", "too-low"}

@@ -184,12 +184,14 @@ class TestMinimizeCoreDeadlineRegression:
         # deadline entirely.
         import repro.smt.solver as solver_module
 
+        from repro.smt.branch_bound import LiaTableau
+
         seen = []
         real_check_lia = solver_module.check_lia
 
-        def spy(constraints, max_nodes=20000, deadline=None):
-            seen.append(deadline)
-            return real_check_lia(constraints, max_nodes, None)
+        def spy(constraints, max_nodes=20000, deadline=None, tableau=None):
+            seen.append((deadline, tableau))
+            return real_check_lia(constraints, max_nodes, None, tableau)
 
         monkeypatch.setattr(solver_module, "check_lia", spy)
         deadline = time.monotonic() + 3600
@@ -203,6 +205,9 @@ class TestMinimizeCoreDeadlineRegression:
         for i in range(6):
             expr = term_to_linexpr(x) - term_to_linexpr(int_const(i))
             exprs.append((expr, i + 1))
-        solver._minimize_core(exprs, [i + 1 for i in range(6)])
+        tableau = LiaTableau(exprs)
+        solver._minimize_core(exprs, [i + 1 for i in range(6)], tableau)
         assert seen, "minimiser should have called check_lia"
-        assert all(d == deadline for d in seen)
+        # Every deletion trial gets the deadline and runs on the round's
+        # tableau.
+        assert all(d == deadline and t is tableau for d, t in seen)

@@ -83,6 +83,15 @@ class TestGrammarExtension:
         # The original grammar is unchanged.
         assert not grammar.generates(apply_fn("aux", (x, y), INT))
 
+    def test_with_interpreted_rejects_self_call(self):
+        import pytest
+
+        grammar = qm_grammar((x, y))
+        x1 = int_var("x1")
+        loop = InterpretedFunction("loop", (x1,), apply_fn("loop", (x1,), INT))
+        with pytest.raises(ValueError, match="'loop'"):
+            grammar.with_interpreted(loop)
+
     def test_with_extra_production(self):
         grammar = qm_grammar((x,))
         extended = grammar.with_extra_production("S", int_const(7))

@@ -96,6 +96,36 @@ class TestSubtermSplits:
         assert not contains_app(final, aux_name)
         assert problem.synth_fun.grammar.generates(final)
 
+    def test_nested_split_picks_a_fresh_aux_name(self):
+        # Regression: splitting a Type-B problem again reused the name
+        # aux0!f, so the new auxiliary's body called itself and expansion
+        # raised "did not converge".
+        from repro.lang import apply_fn
+
+        inner = ite(ge(y, z), y, z)
+
+        def split_on_inner(problem):
+            splits = subterm_splits(problem, SynthConfig())
+            return next(s for s in splits if s.subproblem.spec.args[1] is inner)
+
+        first = split_on_inner(_max3_qm_problem())
+        p1, p2 = first.subproblem.synth_fun.params
+        first_name = first.subproblem.fun_name
+        type_b = first.resolve(add(p1, apply_fn("qm", (sub(p2, p1), 0), INT)))[1]
+
+        second = split_on_inner(type_b)
+        second_name = second.subproblem.fun_name
+        assert second_name != first_name
+        assert first_name in second.subproblem.synth_fun.grammar.interpreted
+        # The second auxiliary is solved by calling the first one.
+        q1, q2 = second.subproblem.synth_fun.params
+        nested = second.resolve(apply_fn(first_name, (q1, q2), INT))[1]
+        interpreted = nested.synth_fun.grammar.interpreted
+        assert {first_name, second_name} <= set(interpreted)
+        expanded = nested.inline_interpreted(apply_fn(second_name, (x, y), INT))
+        assert not contains_app(expanded, first_name)
+        assert not contains_app(expanded, second_name)
+
 
 class TestFixedTermSplits:
     def test_candidates_from_compared_terms(self):

@@ -36,6 +36,8 @@ class TestSessionLifecycle:
         session = FixedHeightSession(problem, 1, SynthConfig())
         assert session.run([]) is None
         assert session.exhausted
+        # The parked session no longer holds its solver's clause database.
+        assert session.solver is None
         # Re-running an exhausted session is a cheap no-op.
         assert session.run([]) is None
 
