@@ -187,9 +187,8 @@ def atom_constraint(atom: LinAtom, positive: bool) -> LinExpr:
 
 def max_abs_coefficient(exprs: Iterable[LinExpr]) -> int:
     """Largest absolute coefficient/constant, used for small-model bounds."""
-    biggest = 1
+    values = [1]
     for expr in exprs:
-        for _, coeff in expr.coeffs:
-            biggest = max(biggest, abs(coeff))
-        biggest = max(biggest, abs(expr.const))
-    return biggest
+        values.append(abs(expr.const))
+        values.extend(abs(coeff) for _, coeff in expr.coeffs)
+    return max(values)

@@ -5,6 +5,9 @@ A rational is a plain tuple ``(num, den)`` with ``den > 0``.  Unlike
 only opportunistically when the components grow — which removes the
 per-operation object construction and gcd cost that dominates pure-Python
 simplex otherwise (this one change is worth ~3-4x on the SMT substrate).
+The simplex pivot loop instead keeps its results in lowest terms
+(:func:`rnorm`, :func:`rfma`): its numbers stay small, and equal
+denominators, mostly 1, take the short path.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ def rnorm(num: int, den: int) -> Rat:
     """Normalise to lowest terms with a positive denominator."""
     if den < 0:
         num, den = -num, -den
-    if num == 0:
-        return ZERO
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
+    if den != 1:
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
     return (num, den)
 
 
@@ -65,6 +67,18 @@ def rsub(a: Rat, b: Rat) -> Rat:
     if a[1] == b[1]:
         return _maybe_norm(a[0] - b[0], a[1])
     return _maybe_norm(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
+
+
+def rfma(acc: Rat, a: Rat, b: Rat) -> Rat:
+    """``acc + a * b`` in lowest terms."""
+    num = a[0] * b[0]
+    den = a[1] * b[1]
+    if acc[1] == den:
+        num += acc[0]
+    else:
+        num = acc[0] * den + num * acc[1]
+        den *= acc[1]
+    return rnorm(num, den)
 
 
 def rmul(a: Rat, b: Rat) -> Rat:

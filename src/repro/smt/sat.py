@@ -136,48 +136,59 @@ class SatSolver:
         self._trail.append(lit)
 
     def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
+        """Unit propagation; returns a conflicting clause index or None.
+
+        The hot loop of the solver: literal values are read from
+        ``self._assign`` inline rather than through :meth:`_value`.
+        """
+        trail = self._trail
+        assign = self._assign
+        clauses = self._clauses
+        watches = self._watches
+        while self._queue_head < len(trail):
+            lit = trail[self._queue_head]
             self._queue_head += 1
-            watching = self._watches.get(lit)
+            watching = watches.get(lit)
             if not watching:
                 continue
+            false_lit = -lit
             kept: List[int] = []
             i = 0
             conflict: Optional[int] = None
             while i < len(watching):
                 ci = watching[i]
                 i += 1
-                clause = self._clauses[ci]
+                clause = clauses[ci]
                 if clause is None:
                     # Deleted learnt clause; drop the stale watch entry.
                     continue
-                if clause[0] == -lit:
+                if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
-                if clause[1] != -lit:
+                if clause[1] != false_lit:
                     # Stale watch entry (watch was moved); drop it.
                     continue
                 first = clause[0]
-                if self._value(first) == 1:
+                first_value = assign[first] if first > 0 else -assign[-first]
+                if first_value == 1:
                     kept.append(ci)
                     continue
                 moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], ci)
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1], clause[k] = other, clause[1]
+                        self._watch(other, ci)
                         moved = True
                         break
                 if moved:
                     continue
                 kept.append(ci)
-                if self._value(first) == -1:
+                if first_value == -1:
                     conflict = ci
                     kept.extend(watching[i:])
                     break
                 self._uncheckedEnqueue(first, ci)
-            self._watches[lit] = kept
+            watches[lit] = kept
             if conflict is not None:
                 return conflict
         return None
